@@ -80,14 +80,6 @@ RULE_CATALOG: dict[str, RuleInfo] = {
             "process and silently diverge from the fleet path).",
         ),
         RuleInfo(
-            "R002",
-            "summary codec/parser table mismatch",
-            "SUMMARY_CODECS (binary wire) and SUMMARY_PARSERS (JSON "
-            "wire) must cover the same payload type tags, or a summary "
-            "round-trips on one wire mode and explodes on the other — "
-            "the two-wire byte-identity CI legs rely on parity.",
-        ),
-        RuleInfo(
             "R003",
             "vectorized sketch outside the differential harness",
             "A vectorized kernel must keep its per-row "

@@ -1,7 +1,7 @@
 """R-rules: registry completeness across modules.
 
-The engine's wire registries live in ``engine/rpc.py`` (builders,
-encoders, summary codecs/parsers) and the differential-harness surface
+The engine's wire registries live in ``engine/rpc.py`` (sketch builders
+and their JSON encoders) and the differential-harness surface
 lives in ``sketches/specs.py``.  A new sketch that lands in one table
 but not its inverses works in whatever path its author tested and
 silently fails in the others — these rules make the tables provably
@@ -93,10 +93,6 @@ class RegistryView:
     sketch_builder_keys: list[str] = field(default_factory=list)
     builders_line: int = 0
     encoder_type_tags: set[str] = field(default_factory=set)
-    summary_codec_keys: list[str] = field(default_factory=list)
-    codecs_line: int = 0
-    summary_parser_keys: list[str] = field(default_factory=list)
-    parsers_line: int = 0
     spec_names: list[str] = field(default_factory=list)
     spec_referenced_classes: set[str] = field(default_factory=set)
     sketch_classes: dict[str, _SketchClass] = field(default_factory=dict)
@@ -176,12 +172,6 @@ def extract_registry_view(files: list[SourceFile]) -> RegistryView:
                 sf.tree, "SKETCH_BUILDERS"
             )
             view.encoder_type_tags = _encoder_type_tags(sf.tree)
-            view.summary_codec_keys, view.codecs_line = _dict_literal_keys(
-                sf.tree, "SUMMARY_CODECS"
-            )
-            view.summary_parser_keys, view.parsers_line = _dict_literal_keys(
-                sf.tree, "SUMMARY_PARSERS"
-            )
         elif path.endswith(_SPECS_SUFFIX):
             _collect_specs(sf, view)
         elif "repro/sketches/" in path:
@@ -227,36 +217,6 @@ class BuilderEncoderParity(ProjectRule):
                     "inverse emitting that \"type\" tag: the root cannot "
                     "broadcast it to worker daemons",
                 )
-
-
-@register
-class SummaryCodecParity(ProjectRule):
-    """R002: SUMMARY_CODECS and SUMMARY_PARSERS cover the same tags."""
-
-    rule_id = "R002"
-
-    def check_project(self, files: list[SourceFile]) -> Iterator[Finding]:
-        view = extract_registry_view(files)
-        if view.rpc_file is None:
-            return
-        codecs = set(view.summary_codec_keys)
-        parsers = set(view.summary_parser_keys)
-        if not codecs or not parsers:
-            return
-        for tag in sorted(parsers - codecs):
-            yield self.finding(
-                view.rpc_file,
-                view.codecs_line,
-                f"summary tag {tag!r} has a JSON parser but no binary "
-                "codec: the binary wire cannot carry it",
-            )
-        for tag in sorted(codecs - parsers):
-            yield self.finding(
-                view.rpc_file,
-                view.parsers_line,
-                f"summary tag {tag!r} has a binary codec but no JSON "
-                "parser: the REPRO_WIRE_JSON=1 leg cannot carry it",
-            )
 
 
 @register

@@ -21,14 +21,14 @@ servers.  This module is that deployment for the reproduction:
 Control messages on this wire are JSON: sketches travel as the same specs
 a browser submits and lineage travels as load/map descriptions — one codec
 for every hop.  Bulk payloads (sketch partials, shard transfers) ride the
-same frames as binary attachments — each summary's own Encoder format and
-raw hvc table bytes — instead of base64-inside-JSON; ``REPRO_WIRE_JSON=1``
-forces the pure-JSON wire as a differential baseline.
+same frames as binary attachments: each summary's own Encoder format and
+raw hvc table bytes, several per frame packed by
+:func:`~repro.engine.rpc.encode_blobs`.  The JSON header names each
+payload; the attachment carries exactly one blob per name.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import itertools
 import json
@@ -61,13 +61,14 @@ from repro.engine.placement import (
     plan_moves,
 )
 from repro.engine.progress import CancellationToken
-from repro.core.serialization import Decoder, Encoder
 from repro.engine.rpc import (
     TERMINAL_REPLY_KINDS,
     ProtocolError,
     RpcReply,
     RpcRequest,
     call_once,
+    decode_blobs,
+    encode_blobs,
     lineage_from_json,
     lineage_to_json,
     sketch_from_json,
@@ -75,11 +76,8 @@ from repro.engine.rpc import (
     source_from_json,
     source_to_json,
     summary_from_bytes,
-    summary_from_json,
     summary_tag,
     summary_to_bytes,
-    summary_to_json,
-    wire_json_forced,
 )
 from repro.errors import (
     EngineError,
@@ -125,9 +123,22 @@ _REFUSED_WHILE_DRAINING = frozenset(
     }
 )
 
+def _parcels(items: list, blobs: list[bytes]) -> "list[StolenParcel]":
+    """Ceded shards as the ``claimSlices`` reply and the ``stolenPartial``
+    request carry them: one header entry plus one hvc blob each."""
+    return [
+        StolenParcel(
+            global_index=int(item["globalIndex"]),
+            payload=blob,
+            shard_id=str(item.get("shardId") or "") or None,
+        )
+        for item, blob in zip(items, blobs)
+    ]
+
+
 #: Roughly how many shard payload bytes one adoptShards batch carries
-#: (well under MAX_FRAME_BYTES so the envelope always fits, even with
-#: the ~4/3 inflation of the JSON-wire base64 fallback).
+#: (well under MAX_FRAME_BYTES, so the batch's last shard and the JSON
+#: header always fit in one frame).
 _TRANSFER_BATCH_BYTES = 8 * 1024 * 1024
 
 
@@ -806,7 +817,6 @@ class WorkerServer:
                 token.cancel()
         done = 0
         cache_hit = False
-        json_wire = wire_json_forced()
 
         def on_ledger(ledger: object) -> None:
             # Registered alongside the cancellation token: a claimSlices
@@ -822,24 +832,9 @@ class WorkerServer:
             ):
                 done = emission.shards_done
                 cache_hit = cache_hit or emission.cache_hit
-                if json_wire:
-                    # Differential baseline: the historical pure-JSON
-                    # partial (summary rendered as the UI payload).
-                    yield RpcReply(
-                        request.request_id,
-                        "partial",
-                        progress=0.0,
-                        payload={
-                            "summary": summary_to_json(emission.summary),
-                            "shardsDone": emission.shards_done,
-                            "bytes": emission.bytes,
-                            "cacheHit": emission.cache_hit,
-                        },
-                    )
-                    continue
-                # Hot path: the summary travels as its own Encoder
-                # format in a binary attachment; the JSON header keeps
-                # only the stream metadata plus the payload type tag.
+                # The summary travels as its own Encoder format in a
+                # binary attachment; the JSON header keeps only the
+                # stream metadata plus the payload type tag.
                 partial = RpcReply(
                     request.request_id,
                     "partial",
@@ -887,30 +882,18 @@ class WorkerServer:
         with link.tokens_lock:
             ledger = link.ledgers.get(target)
         parcels = ledger.cede(budget) if ledger is not None and budget else []
-        json_wire = wire_json_forced()
         entries: list[dict] = []
         blobs: list[bytes] = []
         for parcel in parcels:
             shard = parcel.resolve()
-            payload = table_to_bytes(shard)
-            entry = {
-                "globalIndex": parcel.global_index,
-                "shardId": shard.shard_id,
-            }
-            if json_wire:
-                entry["data"] = base64.b64encode(payload).decode("ascii")
-            else:
-                blobs.append(payload)
-            entries.append(entry)
+            entries.append(
+                {"globalIndex": parcel.global_index, "shardId": shard.shard_id}
+            )
+            blobs.append(table_to_bytes(shard))
         reply = RpcReply(
             request.request_id, "complete", payload={"parcels": entries}
         )
-        if blobs:
-            enc = Encoder()
-            enc.write_uvarint(len(blobs))
-            for blob in blobs:
-                enc.write_bytes(blob)
-            reply.attachment = enc.to_bytes()
+        reply.attachment = encode_blobs(blobs)
         return reply
 
     def _stolen_partial(self, request: RpcRequest) -> RpcReply:
@@ -923,49 +906,17 @@ class WorkerServer:
         args = request.args
         sketch = sketch_from_json(args["sketch"])
         items = args.get("parcels") or []
-        blobs: list[bytes] | None = None
-        if request.attachment is not None:
-            dec = Decoder(request.attachment)
-            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-            if len(blobs) != len(items):
-                raise ProtocolError(
-                    f"stolenPartial attachment carries {len(blobs)} payloads "
-                    f"for {len(items)} parcel entries"
-                )
-        parcels: list[StolenParcel] = []
-        for position, item in enumerate(items):
-            payload = (
-                blobs[position]
-                if blobs is not None
-                else base64.b64decode(str(item["data"]))
-            )
-            parcels.append(
-                StolenParcel(
-                    global_index=int(item["globalIndex"]),
-                    payload=payload,
-                    shard_id=str(item.get("shardId") or "") or None,
-                )
-            )
-        summaries = self.worker.summarize_stolen(sketch, parcels) or []
-        json_wire = wire_json_forced()
-        entries: list[dict] = []
-        out_blobs: list[bytes] = []
-        for global_index, summary in summaries:
-            entry: dict = {"globalIndex": global_index}
-            if json_wire:
-                entry["summary"] = summary_to_json(summary)
-            else:
-                out_blobs.append(summary_to_bytes(summary))
-            entries.append(entry)
+        blobs = decode_blobs(request.attachment, len(items), "stolenPartial")
+        summaries = (
+            self.worker.summarize_stolen(sketch, _parcels(items, blobs)) or []
+        )
+        entries = [{"globalIndex": index} for index, _ in summaries]
         reply = RpcReply(
             request.request_id, "complete", payload={"summaries": entries}
         )
-        if out_blobs:
-            enc = Encoder()
-            enc.write_uvarint(len(out_blobs))
-            for blob in out_blobs:
-                enc.write_bytes(blob)
-            reply.attachment = enc.to_bytes()
+        reply.attachment = encode_blobs(
+            [summary_to_bytes(summary) for _, summary in summaries]
+        )
         return reply
 
     # -- the rebalance protocol (elastic fleets) -------------------------
@@ -1009,7 +960,6 @@ class WorkerServer:
             )
         index, count = placement
         shards = self.worker.store.get(dataset_id)
-        json_wire = wire_json_forced()
         moved = 0
         missing: list[int] = []
         for move in args.get("moves") or []:
@@ -1029,14 +979,8 @@ class WorkerServer:
                     continue
                 shard = shards[local]
                 payload = table_to_bytes(shard)
-                entry = {"globalIndex": g, "shardId": shard.shard_id}
-                if json_wire:
-                    # Differential baseline: hvc bytes as base64 text
-                    # inside the JSON envelope (the historical wire).
-                    entry["data"] = base64.b64encode(payload).decode("ascii")
-                else:
-                    blobs.append(payload)
-                batch.append(entry)
+                batch.append({"globalIndex": g, "shardId": shard.shard_id})
+                blobs.append(payload)
                 batch_bytes += len(payload)
                 if batch_bytes >= _TRANSFER_BATCH_BYTES:
                     moved += self._push_adopts(
@@ -1060,14 +1004,13 @@ class WorkerServer:
         dataset_id: str,
         version: int,
         batch: list[dict],
-        blobs: list[bytes] | None = None,
+        blobs: list[bytes],
     ) -> int:
         """One worker-to-worker push: dial the target daemon, hand it a
         batch of serialized shards, return how many it staged.
 
         ``blobs`` (one raw hvc payload per batch entry, in order) travel
-        as a binary attachment; on the JSON wire the batch entries carry
-        base64 ``data`` instead and ``blobs`` is empty.
+        as a binary attachment.
         """
         host, port = parse_address(target)
         sock = socket.create_connection((host, port), timeout=30.0)
@@ -1098,13 +1041,6 @@ class WorkerServer:
                     )
                 return reply
 
-            attachment = None
-            if blobs:
-                enc = Encoder()
-                enc.write_uvarint(len(blobs))
-                for blob in blobs:
-                    enc.write_bytes(blob)
-                attachment = enc.to_bytes()
             call(0, "hello", {})
             reply = call(
                 1,
@@ -1114,7 +1050,7 @@ class WorkerServer:
                     "targetVersion": version,
                     "shards": batch,
                 },
-                attachment=attachment,
+                attachment=encode_blobs(blobs),
             )
             return int(reply.payload.get("staged", 0))
         finally:
@@ -1136,22 +1072,9 @@ class WorkerServer:
         dataset_id = str(args["dataset"])
         version = int(args["targetVersion"])
         items = args.get("shards") or []
-        blobs: list[bytes] | None = None
-        if request.attachment is not None:
-            dec = Decoder(request.attachment)
-            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-            if len(blobs) != len(items):
-                raise ProtocolError(
-                    f"adoptShards attachment carries {len(blobs)} payloads "
-                    f"for {len(items)} shard entries"
-                )
+        blobs = decode_blobs(request.attachment, len(items), "adoptShards")
         staged = 0
-        for position, item in enumerate(items):
-            payload = (
-                blobs[position]
-                if blobs is not None
-                else base64.b64decode(str(item["data"]))
-            )
+        for item, payload in zip(items, blobs):
             table = table_from_bytes(
                 payload,
                 shard_id=str(item.get("shardId") or f"shard-{item['globalIndex']}"),
@@ -1430,10 +1353,13 @@ class _RemoteStealLedger:
 
     ``cede`` is one synchronous ``claimSlices`` RPC; the daemon cancels
     unstarted trailing leaves under its own ledger lock and returns the
-    ceded shards serialized.  Every failure reads as "nothing ceded",
+    ceded shards serialized.  A failed call reads as "nothing ceded",
     which is always safe: an error reply means the daemon ceded nothing,
     and a dead connection kills the victim's whole sketch stream — its
-    revival restart recomputes every shard regardless.
+    revival restart recomputes every shard regardless.  A reply whose
+    attachment disagrees with its parcel list raises ``ProtocolError``:
+    the daemon has already cancelled those shards, so they must not be
+    dropped quietly.
     """
 
     def __init__(self, proxy: "RemoteWorkerProxy", request_id: int):
@@ -1451,25 +1377,8 @@ class _RemoteStealLedger:
             return []
         payload = reply.payload if isinstance(reply.payload, dict) else {}
         items = payload.get("parcels") or []
-        blobs: list[bytes] | None = None
-        if reply.attachment is not None:
-            dec = Decoder(reply.attachment)
-            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-        parcels: list[StolenParcel] = []
-        for position, item in enumerate(items):
-            data = (
-                blobs[position]
-                if blobs is not None and position < len(blobs)
-                else base64.b64decode(str(item["data"]))
-            )
-            parcels.append(
-                StolenParcel(
-                    global_index=int(item["globalIndex"]),
-                    payload=data,
-                    shard_id=str(item.get("shardId") or "") or None,
-                )
-            )
-        return parcels
+        blobs = decode_blobs(reply.attachment, len(items), "claimSlices reply")
+        return _parcels(items, blobs)
 
 
 class RemoteWorkerProxy(WorkerProtocol):
@@ -1633,12 +1542,13 @@ class RemoteWorkerProxy(WorkerProtocol):
             deadline = time.monotonic() + self.request_timeout
             if reply.kind == "partial":
                 payload = reply.payload
-                if reply.attachment is not None:
-                    summary = summary_from_bytes(reply.attachment)
-                else:
-                    summary = summary_from_json(payload["summary"])
+                if reply.attachment is None:
+                    raise ProtocolError(
+                        f"worker {self.name} sent a partial without its "
+                        "summary attachment"
+                    )
                 yield WorkerEmission(
-                    summary,
+                    summary_from_bytes(reply.attachment),
                     int(payload["shardsDone"]),
                     int(payload["bytes"]),
                     cache_hit=bool(payload.get("cacheHit", False)),
@@ -1670,49 +1580,30 @@ class RemoteWorkerProxy(WorkerProtocol):
             return []
         from repro.storage.columnar import table_to_bytes
 
-        json_wire = wire_json_forced()
-        entries: list[dict] = []
-        blobs: list[bytes] = []
-        for parcel in parcels:
-            payload = parcel.payload
-            if payload is None:
-                payload = table_to_bytes(parcel.resolve())
-            entry: dict = {
-                "globalIndex": parcel.global_index,
-                "shardId": parcel.shard_id,
-            }
-            if json_wire:
-                entry["data"] = base64.b64encode(payload).decode("ascii")
-            else:
-                blobs.append(payload)
-            entries.append(entry)
-        attachment = None
-        if blobs:
-            enc = Encoder()
-            enc.write_uvarint(len(blobs))
-            for blob in blobs:
-                enc.write_bytes(blob)
-            attachment = enc.to_bytes()
+        entries = [
+            {"globalIndex": parcel.global_index, "shardId": parcel.shard_id}
+            for parcel in parcels
+        ]
+        blobs = [
+            parcel.payload
+            if parcel.payload is not None
+            else table_to_bytes(parcel.resolve())
+            for parcel in parcels
+        ]
         reply = self.channel.call(
             "stolenPartial",
             {"sketch": sketch_to_json(sketch), "parcels": entries},
             timeout=self.request_timeout,
-            attachment=attachment,
+            attachment=encode_blobs(blobs),
         )
-        payload_dict = reply.payload if isinstance(reply.payload, dict) else {}
-        items = payload_dict.get("summaries") or []
-        in_blobs: list[bytes] | None = None
-        if reply.attachment is not None:
-            dec = Decoder(reply.attachment)
-            in_blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
-        results: "list[tuple[int, object]]" = []
-        for position, item in enumerate(items):
-            if in_blobs is not None and position < len(in_blobs):
-                summary = summary_from_bytes(in_blobs[position])
-            else:
-                summary = summary_from_json(item["summary"])
-            results.append((int(item["globalIndex"]), summary))
-        return results
+        payload = reply.payload if isinstance(reply.payload, dict) else {}
+        items = payload.get("summaries") or []
+        where = "stolenPartial reply"
+        blobs = decode_blobs(reply.attachment, len(items), where)
+        return [
+            (int(item["globalIndex"]), summary_from_bytes(blob))
+            for item, blob in zip(items, blobs)
+        ]
 
     def export_hot_entries(self, budget_bytes: int) -> list[dict]:
         reply = self.channel.call(

@@ -17,7 +17,6 @@ layer) can consume one message at a time.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Callable
@@ -32,7 +31,7 @@ from repro.core.buckets import (
 )
 from repro.core.serialization import Decoder, Encoder
 from repro.core.sketch import Sketch
-from repro.errors import HillviewError
+from repro.errors import HillviewError, SerializationError
 from repro.sketches.bottomk import BottomKDistinctSketch, BottomKSummary
 from repro.sketches.cdf import CdfSketch
 from repro.sketches.find_text import FindResult, FindTextSketch
@@ -355,17 +354,6 @@ WIRE_ERROR_CODES: dict[str, str] = {
 _BINARY_ENVELOPE = 0
 
 
-def wire_json_forced() -> bool:
-    """``REPRO_WIRE_JSON=1`` forces pure-JSON frames on the worker wire.
-
-    The escape hatch exists to *prove* the binary path changes nothing:
-    a differential run under this flag must produce byte-identical
-    summaries (asserted by a dedicated tier-1 CI leg).  Checked at call
-    time so tests can flip it per-case.
-    """
-    return os.environ.get("REPRO_WIRE_JSON") == "1"
-
-
 def encode_envelope(header_json: str, attachment: bytes | None = None) -> bytes:
     """One wire frame from a JSON header and an optional attachment."""
     raw = header_json.encode("utf-8")
@@ -384,6 +372,50 @@ def split_envelope(frame: bytes) -> tuple[str, bytes | None]:
     dec.read_uvarint()  # the 0x00 discriminator
     header = dec.read_bytes().decode("utf-8")
     return header, bytes(frame[len(frame) - dec.remaining :])
+
+
+def encode_blobs(blobs: list[bytes]) -> bytes | None:
+    """One attachment carrying a list of bulk payloads (hvc shard bytes,
+    tagged summaries), one per entry of the JSON header's list, in order:
+
+        uvarint count | count x (uvarint length | bytes)
+
+    An empty list travels as no attachment at all.
+    """
+    if not blobs:
+        return None
+    enc = Encoder()
+    enc.write_uvarint(len(blobs))
+    for blob in blobs:
+        enc.write_bytes(blob)
+    return enc.to_bytes()
+
+
+def decode_blobs(
+    attachment: bytes | None, count: int, where: str
+) -> list[bytes]:
+    """Inverse of :func:`encode_blobs`, checked against the ``count``
+    entries of the header's list.  A missing, short, long or truncated
+    attachment raises :class:`ProtocolError` naming ``where``: every
+    header entry pairs with exactly one payload, or the frame is refused.
+    """
+    blobs: list[bytes] = []
+    if attachment is not None:
+        dec = Decoder(attachment)
+        try:
+            blobs = [dec.read_bytes() for _ in range(dec.read_uvarint())]
+        except SerializationError as exc:
+            raise ProtocolError(f"{where} attachment is truncated") from exc
+        if dec.remaining:
+            raise ProtocolError(
+                f"{where} attachment has {dec.remaining} trailing bytes"
+            )
+    if len(blobs) != count:
+        raise ProtocolError(
+            f"{where} attachment carries {len(blobs)} payloads "
+            f"for {count} entries"
+        )
+    return blobs
 
 
 def call_once(
@@ -813,8 +845,8 @@ def _frequency_payload(s: FrequencySummary) -> dict:
 
 
 def _hll_payload(s: HllSummary) -> dict:
-    # The UI reads "estimate"; "registers" makes the payload lossless so a
-    # root can merge summaries received from worker processes.
+    # The UI reads "estimate"; "registers"/"missing" carry the raw sketch
+    # and are part of the client payload contract.
     return {
         "type": "distinct",
         "estimate": s.estimate(),
@@ -847,8 +879,8 @@ def _find_payload(s: FindResult) -> dict:
 
 
 def _bottom_k_payload(s: BottomKSummary) -> dict:
-    # "values"/"saturated" feed the UI; "k"/"entries"/"missing" make the
-    # payload lossless for root-side merging of worker partials.
+    # "values"/"saturated" feed the UI; "k"/"entries"/"missing" carry the
+    # raw sample and are part of the client payload contract.
     return {
         "type": "bottomK",
         "values": s.values_sorted(),
@@ -907,195 +939,15 @@ def summary_to_json(summary: object) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON -> summary: the inverse converters
-# ---------------------------------------------------------------------------
-# Worker processes ship cumulative partials to the root as the same JSON
-# payloads the UI consumes (one codec, two wires); the root must rebuild
-# real summary objects to keep merging them.  Every converter here is the
-# exact inverse of its _PAYLOADS counterpart: from_json(to_json(s)) encodes
-# bit-identically to s (fuzzed in tests/test_rpc_properties.py).
-
-
-def _counts_array(data: list, dtype=np.int64) -> np.ndarray:
-    return np.asarray(data, dtype=dtype)
-
-
-def _histogram_from_json(d: dict) -> HistogramSummary:
-    return HistogramSummary(
-        counts=_counts_array(d["counts"]),
-        missing=int(d["missing"]),
-        out_of_range=int(d["outOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _heatmap_from_json(d: dict) -> HeatmapSummary:
-    return HeatmapSummary(
-        counts=_counts_array(d["counts"]),
-        x_missing=int(d["xMissing"]),
-        y_missing=int(d["yMissing"]),
-        out_of_range=int(d["outOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _stacked_from_json(d: dict) -> StackedHistogramSummary:
-    return StackedHistogramSummary(
-        bar_counts=_counts_array(d["barCounts"]),
-        cell_counts=_counts_array(d["cellCounts"]),
-        y_missing=_counts_array(d["yMissing"]),
-        missing=int(d["missing"]),
-        out_of_range=int(d["outOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _trellis_from_json(d: dict) -> TrellisSummary:
-    return TrellisSummary(
-        panes=[_heatmap_from_json(p) for p in d["panes"]],
-        group_missing=int(d["groupMissing"]),
-        group_out_of_range=int(d["groupOutOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _trellis_histogram_from_json(d: dict) -> TrellisHistogramSummary:
-    return TrellisHistogramSummary(
-        panes=[_histogram_from_json(p) for p in d["panes"]],
-        group_missing=int(d["groupMissing"]),
-        group_out_of_range=int(d["groupOutOfRange"]),
-        sampled_rows=int(d["sampledRows"]),
-    )
-
-
-def _stats_from_json(d: dict) -> ColumnStats:
-    return ColumnStats(
-        present_count=int(d["presentCount"]),
-        missing_count=int(d["missingCount"]),
-        min_value=cell_from_json(d["min"]),
-        max_value=cell_from_json(d["max"]),
-        power_sums=[float(s) for s in d["powerSums"]],
-    )
-
-
-def _next_k_from_json(d: dict) -> NextKList:
-    return NextKList(
-        order=order_from_json(d["order"]),
-        rows=[tuple(cell_from_json(v) for v in values) for values in d["rows"]],
-        counts=[int(c) for c in d["counts"]],
-        preceding=int(d["preceding"]),
-        scanned=int(d["scanned"]),
-    )
-
-
-def _frequency_from_json(d: dict) -> FrequencySummary:
-    return FrequencySummary(
-        counts={
-            cell_from_json(value): int(count) for value, count in d["counts"]
-        },
-        error_bound=int(d["errorBound"]),
-        scanned=int(d["scanned"]),
-    )
-
-
-def _hll_from_json(d: dict) -> HllSummary:
-    return HllSummary(
-        registers=_counts_array(d["registers"], dtype=np.uint8),
-        missing=int(d["missing"]),
-    )
-
-
-def _quantile_from_json(d: dict) -> QuantileSummary:
-    return QuantileSummary(
-        order=order_from_json(d["order"]),
-        samples=[
-            tuple(cell_from_json(v) for v in values) for values in d["samples"]
-        ],
-        scanned=int(d["scanned"]),
-    )
-
-
-def _find_from_json(d: dict) -> FindResult:
-    first = d["firstMatch"]
-    return FindResult(
-        order=order_from_json(d["order"]),
-        first_match=(
-            None if first is None else tuple(cell_from_json(v) for v in first)
-        ),
-        matches_before=int(d["matchesBefore"]),
-        matches_after=int(d["matchesAfter"]),
-    )
-
-
-def _bottom_k_from_json(d: dict) -> BottomKSummary:
-    return BottomKSummary(
-        k=int(d["k"]),
-        entries=[(int(h), str(v)) for h, v in d["entries"]],
-        missing=int(d["missing"]),
-    )
-
-
-def _correlation_from_json(d: dict) -> CorrelationSummary:
-    return CorrelationSummary(
-        columns=[str(c) for c in d["columns"]],
-        count=int(d["count"]),
-        sums=_counts_array(d["sums"], dtype=np.float64),
-        products=_counts_array(d["products"], dtype=np.float64),
-    )
-
-
-def _save_from_json(d: dict) -> SaveStatus:
-    return SaveStatus(
-        files=[str(f) for f in d["files"]],
-        rows_written=int(d["rowsWritten"]),
-        errors=[str(e) for e in d["errors"]],
-    )
-
-
-#: Payload "type" tag -> parser; the inverse of :data:`_PAYLOADS`.
-SUMMARY_PARSERS: dict[str, Callable[[dict], object]] = {
-    "histogram": _histogram_from_json,
-    "heatmap": _heatmap_from_json,
-    "stacked": _stacked_from_json,
-    "trellisHeatmap": _trellis_from_json,
-    "trellisHistogram": _trellis_histogram_from_json,
-    "columnStats": _stats_from_json,
-    "nextK": _next_k_from_json,
-    "frequencies": _frequency_from_json,
-    "distinct": _hll_from_json,
-    "quantile": _quantile_from_json,
-    "find": _find_from_json,
-    "bottomK": _bottom_k_from_json,
-    "correlation": _correlation_from_json,
-    "saveStatus": _save_from_json,
-}
-
-
-def summary_from_json(data: dict) -> object:
-    """Rebuild a summary object from its JSON payload."""
-    kind = data.get("type")
-    parser = SUMMARY_PARSERS.get(str(kind))
-    if parser is None:
-        raise ProtocolError(f"unknown summary payload type {kind!r}")
-    try:
-        return parser(data)
-    except KeyError as exc:
-        raise ProtocolError(
-            f"summary payload {kind!r} missing field {exc}"
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
 # Binary summary codec: the hot path of the worker wire
 # ---------------------------------------------------------------------------
 # Sketch partials travel root<->worker as each summary's own Encoder
 # format (the codec every summary already defines for byte accounting),
 # prefixed with the payload type tag so the receiver knows which decoder
-# to run.  The tags are the same strings the JSON wire uses, so traces
-# and logs identify a summary identically in either wire mode.
+# to run.  The tags are the "type" strings of the client JSON payloads,
+# so traces and logs name a summary identically on every wire.
 
-#: Payload "type" tag -> summary class; the binary twin of
-#: :data:`SUMMARY_PARSERS`.
+#: Payload "type" tag -> summary class.
 SUMMARY_CODECS: dict[str, type] = {
     "histogram": HistogramSummary,
     "heatmap": HeatmapSummary,
@@ -1121,7 +973,7 @@ _SUMMARY_TAG_BY_TYPE: dict[type, str] = {
 
 
 def summary_tag(summary: object) -> str:
-    """The payload type tag of ``summary`` (shared by both wire modes)."""
+    """The payload type tag of ``summary`` (its JSON payload's "type")."""
     tag = _SUMMARY_TAG_BY_TYPE.get(type(summary))
     if tag is None:
         raise ProtocolError(

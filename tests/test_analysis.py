@@ -40,7 +40,6 @@ FIRE_RULES = [
     "D002",
     "D003",
     "R001",
-    "R002",
     "R003",
     "C001",
     "C002",
@@ -134,9 +133,6 @@ def test_registry_view_matches_live_registries() -> None:
     # The only sanctioned runtime registration is service.slow's
     # debugging sketch (import-time setdefault).
     assert live_builders - static_builders <= {"slow"}
-
-    assert set(view.summary_codec_keys) == set(rpc.SUMMARY_CODECS)
-    assert set(view.summary_parser_keys) == set(rpc.SUMMARY_PARSERS)
 
     live_spec_names = sorted(spec.name for spec in specs.SKETCH_SPECS)
     assert sorted(view.spec_names) == live_spec_names

@@ -171,17 +171,14 @@ class TestByteIdenticalSummaries:
 
         Across roots the *wire payload text* must match byte for byte
         (same placement, same merge order, same JSON).  Against the local
-        reference the comparison is the summary's canonical ``to_bytes``
-        encoding — JSON key order there legitimately reflects merge
-        order (e.g. frequency maps), which a single process lacks.
+        reference the comparison is the canonical (key-sorted) rendering
+        of the same client payload.
         """
-        from repro.engine.rpc import summary_from_json
-
         spec = SKETCH_SPECS[kind]
-        local_bytes = (
-            LocalDataSet(reference_table)
-            .sketch(sketch_from_json(spec))
-            .to_bytes()
+        local_payload = canonical(
+            summary_to_json(
+                LocalDataSet(reference_table).sketch(sketch_from_json(spec))
+            )
         )
         payloads = []
         for _, _, (host, port) in tier:
@@ -190,9 +187,9 @@ class TestByteIdenticalSummaries:
                 reply = client.sketch(handle, spec).result(timeout=120)
                 assert reply.kind == "complete", reply.error
                 payloads.append(canonical(reply.payload))
-                assert (
-                    summary_from_json(reply.payload).to_bytes() == local_bytes
-                ), f"{kind} differs from the local reference on {host}:{port}"
+                assert payloads[-1] == local_payload, (
+                    f"{kind} differs from the local reference on {host}:{port}"
+                )
         assert payloads[0] == payloads[1], (
             f"{kind}: the two roots returned different wire payloads"
         )
