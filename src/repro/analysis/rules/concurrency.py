@@ -232,6 +232,7 @@ _BLOCKING_MODULE_CALLS = {
     ("time", "sleep"),
     ("os", "system"),
     ("socket", "create_connection"),
+    ("framing", "dial"),
     ("subprocess", "run"),
     ("subprocess", "call"),
     ("subprocess", "check_call"),
@@ -250,6 +251,14 @@ class BlockingCallInAsync(FileRule):
     def check(self, sf: SourceFile) -> Iterator[Finding]:
         if sf.tree is None or "repro/" not in sf.scope_path:
             return
+        # `from repro.core.framing import dial` makes `dial(...)` the
+        # same call as `framing.dial(...)`.
+        imported = {
+            alias.asname or alias.name: (node.module.split(".")[-1], alias.name)
+            for node in ast.walk(sf.tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names
+        }
         for node in ast.walk(sf.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -257,23 +266,24 @@ class BlockingCallInAsync(FileRule):
             if not isinstance(func, ast.AsyncFunctionDef):
                 continue
             callee = node.func
-            if isinstance(callee, ast.Attribute):
-                base = callee.value
-                if (
-                    isinstance(base, ast.Name)
-                    and (base.id, callee.attr) in _BLOCKING_MODULE_CALLS
-                ):
-                    yield self.finding(
-                        sf,
-                        node.lineno,
-                        f"{base.id}.{callee.attr}() blocks the event loop; "
-                        "use the asyncio equivalent or run_in_executor",
-                    )
-                elif callee.attr in _BLOCKING_ATTR_CALLS:
-                    yield self.finding(
-                        sf,
-                        node.lineno,
-                        f".{callee.attr}() inside `async def {func.name}` "
-                        "blocks the event loop for every client; await an "
-                        "asyncio primitive instead",
-                    )
+            blocking = None
+            if isinstance(callee, ast.Name):
+                blocking = imported.get(callee.id)
+            elif isinstance(callee, ast.Attribute):
+                if isinstance(callee.value, ast.Name):
+                    blocking = (callee.value.id, callee.attr)
+            if blocking in _BLOCKING_MODULE_CALLS:
+                yield self.finding(
+                    sf,
+                    node.lineno,
+                    "{}.{}() blocks the event loop; ".format(*blocking)
+                    + "use the asyncio equivalent or run_in_executor",
+                )
+            elif getattr(callee, "attr", None) in _BLOCKING_ATTR_CALLS:
+                yield self.finding(
+                    sf,
+                    node.lineno,
+                    f".{callee.attr}() inside `async def {func.name}` "
+                    "blocks the event loop for every client; await an "
+                    "asyncio primitive instead",
+                )

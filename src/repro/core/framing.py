@@ -9,11 +9,17 @@ stream from either can be decoded with one tool.
 Both an asyncio reader and a blocking file-object reader are provided; the
 caller chooses the exception type raised on a malformed or truncated frame
 so each layer reports errors in its own vocabulary.
+
+Blocking TCP endpoints open through :func:`dial` / :func:`stream_files`,
+which set ``TCP_NODELAY``: a stream's last ``partial`` and its ``complete``
+are two small writes back to back, and Nagle would hold the second for the
+peer's delayed ACK (~40 ms).  Asyncio transports set the option themselves.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import BinaryIO
 
 from repro.core.serialization import Encoder
@@ -95,3 +101,19 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
     """Write one frame and flush (blocking endpoints)."""
     stream.write(encode_frame(payload))
     stream.flush()
+
+
+def stream_files(sock: socket.socket) -> tuple[BinaryIO, BinaryIO]:
+    """Set ``TCP_NODELAY`` on a connected socket; return its (rb, wb) files."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock.makefile("rb"), sock.makefile("wb")
+
+
+def dial(
+    address: tuple[str, int], timeout: float | None, io_timeout: float | None = None
+) -> tuple[socket.socket, BinaryIO, BinaryIO]:
+    """Connect within ``timeout`` seconds, then block reads and writes for up
+    to ``io_timeout`` (None: forever); returns the socket and its files."""
+    sock = socket.create_connection(address, timeout=timeout)
+    sock.settimeout(io_timeout)
+    return (sock, *stream_files(sock))

@@ -1457,17 +1457,27 @@ class Cluster:
 
     def _for_all_workers(self, fn) -> list:
         """Run ``fn(index, worker)`` for every worker in parallel, reviving
-        and retrying a worker whose process died (§5.8)."""
+        and retrying a worker whose process died (§5.8).  A placement
+        adopted meanwhile by another thread's resync would mix two fleets'
+        results: that raises :class:`StalePlacementError` instead."""
         ctx = current_context()
-        with concurrent.futures.ThreadPoolExecutor(len(self.workers)) as pool:
-            return list(
+        version = self.placement_version
+        count = len(self.workers)
+        with concurrent.futures.ThreadPoolExecutor(count) as pool:
+            results = list(
                 pool.map(
                     # Carry the caller's trace context onto the pool
                     # threads so worker RPCs parent under it.
                     lambda i: self._with_revival_in_context(ctx, i, fn),
-                    range(len(self.workers)),
+                    range(count),
                 )
             )
+        if self.placement_version != version:
+            raise StalePlacementError(
+                f"the fleet moved to placement version "
+                f"{self.placement_version} mid-request"
+            )
+        return results
 
     def _with_revival_in_context(self, ctx, index: int, fn):
         with use_context(ctx):
@@ -1476,8 +1486,13 @@ class Cluster:
     def _with_revival(self, index: int, fn):
         attempts = 0
         while True:
+            workers = self.workers
+            if index >= len(workers):
+                raise StalePlacementError(
+                    f"the fleet shrank to {len(workers)} workers mid-request"
+                )
             try:
-                return fn(index, self.workers[index])
+                return fn(index, workers[index])
             except WorkerUnavailableError:
                 attempts += 1
                 if attempts > MAX_WORKER_RETRIES or not self.revive_worker(index):
@@ -1920,6 +1935,10 @@ class ClusterDataSet(IDataSet):
 
             # Phase 2: leaves summarize; aggregation nodes emit partials.
             snapshot = list(cluster.workers)
+            if len(snapshot) != len(shard_counts):
+                raise StalePlacementError(
+                    "the fleet was resized between ensure and fan-out"
+                )
             workers = range(len(snapshot))
             slot_totals = list(shard_counts)
             worker_stats: list[dict] = [
@@ -2180,13 +2199,14 @@ class ClusterDataSet(IDataSet):
                 for s in worker_stats
                 if s.get("lastEmitSeconds") is not None
             ]
+            straggler = max(last_emits) if last_emits else 0.0
+            fanout = time.perf_counter() - fanout_started
             profile["mergeSeconds"] = round(merge_seconds, 6)
-            profile["stragglerSeconds"] = (
-                round(max(last_emits), 6) if last_emits else 0.0
-            )
-            profile["fanoutSeconds"] = round(
-                time.perf_counter() - fanout_started, 6
-            )
+            profile["stragglerSeconds"] = round(straggler, 6)
+            # The last summary is in; what remains is each stream's
+            # terminal frame crossing the wire (plus thread joins).
+            profile["wireTailSeconds"] = round(fanout - straggler, 6)
+            profile["fanoutSeconds"] = round(fanout, 6)
             profile["engineSeconds"] = round(
                 time.perf_counter() - attempt_started, 6
             )

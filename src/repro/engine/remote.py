@@ -40,9 +40,15 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
-from repro.core.framing import FrameError, read_frame_blocking, write_frame
+from repro.core.framing import (
+    FrameError,
+    dial,
+    read_frame_blocking,
+    stream_files,
+    write_frame,
+)
 from repro.engine.cluster import (
     Cluster,
     StolenParcel,
@@ -370,14 +376,11 @@ class WorkerServer:
     def run_connect(self, host: str, port: int, timeout: float = 10.0) -> None:
         """Dial the root and serve it until it disconnects (spawn mode)."""
         self._start_sweeper()
-        sock = socket.create_connection((host, port), timeout=timeout)
-        sock.settimeout(None)
-        wfile = sock.makefile("wb")
+        _, rfile, wfile = dial((host, port), timeout)
         write_frame(
             wfile,
             RpcRequest(0, "", "hello", self._info()).to_json().encode("utf-8"),
         )
-        rfile = sock.makefile("rb")
         frame = read_frame_blocking(rfile, error=FrameError)
         if frame is None:
             raise EngineError("root closed the connection during handshake")
@@ -431,8 +434,7 @@ class WorkerServer:
                 pass
 
     def _serve_socket(self, sock: socket.socket) -> None:
-        rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
+        rfile, wfile = stream_files(sock)
         try:
             self._serve(rfile, wfile)
         finally:
@@ -1012,12 +1014,8 @@ class WorkerServer:
         ``blobs`` (one raw hvc payload per batch entry, in order) travel
         as a binary attachment.
         """
-        host, port = parse_address(target)
-        sock = socket.create_connection((host, port), timeout=30.0)
-        sock.settimeout(120.0)
+        sock, rfile, wfile = dial(parse_address(target), 30.0, 120.0)
         try:
-            wfile = sock.makefile("wb")
-            rfile = sock.makefile("rb")
             where = f"transfer target {target}"
 
             def call(
@@ -1222,11 +1220,13 @@ def _raise_for_error_reply(name: str, reply: RpcReply) -> None:
 class _WorkerChannel:
     """One framed connection to a worker, demultiplexed by request id."""
 
-    def __init__(self, sock: socket.socket, name: str):
+    def __init__(
+        self, sock: socket.socket, rfile: BinaryIO, wfile: BinaryIO, name: str
+    ):
         self.name = name
         self._sock = sock
-        self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
+        self._rfile = rfile
+        self._wfile = wfile
         self._ids = itertools.count(1)
         self._pending: dict[int, "queue.Queue[RpcReply]"] = {}
         self._lock = threading.Lock()
@@ -1939,8 +1939,7 @@ class ProcessCluster(Cluster):
     ) -> RemoteWorkerProxy | None:
         """Read the worker's hello, ack it, wrap the socket in a channel."""
         sock.settimeout(self._startup_timeout)
-        rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
+        rfile, wfile = stream_files(sock)
         try:
             frame = read_frame_blocking(rfile, error=FrameError)
             if frame is None:
@@ -1961,7 +1960,7 @@ class ProcessCluster(Cluster):
         cores = int(hello.args.get("cores", 1))
         proxy = RemoteWorkerProxy(
             name,
-            _WorkerChannel(sock, name),
+            _WorkerChannel(sock, rfile, wfile, name),
             cores,
             process=process,
             request_timeout=self._request_timeout,
@@ -2426,12 +2425,7 @@ class ProcessCluster(Cluster):
             self._end_rebalance()
 
     def _dial_worker(self, host: str, port: int) -> RemoteWorkerProxy:
-        sock = socket.create_connection(
-            (host, port), timeout=self._startup_timeout
-        )
-        sock.settimeout(None)
-        wfile = sock.makefile("wb")
-        rfile = sock.makefile("rb")
+        sock, rfile, wfile = dial((host, port), self._startup_timeout)
         write_frame(wfile, RpcRequest(0, "", "hello", {}).to_json().encode("utf-8"))
         frame = read_frame_blocking(rfile, error=FrameError)
         if frame is None:
@@ -2442,7 +2436,7 @@ class ProcessCluster(Cluster):
         cores = int(payload.get("cores", 1))
         proxy = RemoteWorkerProxy(
             name,
-            _WorkerChannel(sock, name),
+            _WorkerChannel(sock, rfile, wfile, name),
             cores,
             address=(host, port),
             request_timeout=self._request_timeout,
@@ -2540,32 +2534,28 @@ class ProcessCluster(Cluster):
 # ---------------------------------------------------------------------------
 # Fleet introspection (``repro fleet status``)
 # ---------------------------------------------------------------------------
-def query_fleet(
-    addresses: "list[tuple[str, int]]", timeout: float = 10.0
+def _ask_fleet(
+    addresses: "list[tuple[str, int]]",
+    method: str,
+    timeout: float,
+    hello_keys: "tuple[str, ...]" = (),
 ) -> list[dict]:
-    """Dial each worker daemon briefly and return its placement payload
-    (plus resident-dataset inventory).  Unreachable daemons yield an
-    ``{"error": ...}`` entry instead of failing the whole sweep — status
-    must work on a half-down fleet."""
+    """Dial each worker daemon briefly, say hello, and merge the payload
+    of one ``method`` call (after ``hello_keys`` copied from the hello
+    ack) into its report.  Unreachable daemons yield an
+    ``{"error": ...}`` entry instead of failing the whole sweep — fleet
+    commands must work on a half-down fleet."""
     reports: list[dict] = []
     for host, port in addresses:
         report: dict = {"address": format_address((host, port))}
+        where = f"worker {host}:{port}"
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.settimeout(timeout)
+            sock, rfile, wfile = dial((host, port), timeout, timeout)
             try:
-                wfile = sock.makefile("wb")
-                rfile = sock.makefile("rb")
-                hello = call_once(
-                    rfile, wfile, 0, "hello", where=f"worker {host}:{port}"
-                )
+                hello = call_once(rfile, wfile, 0, "hello", where=where)
                 if isinstance(hello.payload, dict):
-                    report["name"] = hello.payload.get("name")
-                    report["pid"] = hello.payload.get("pid")
-                info = call_once(
-                    rfile, wfile, 1, "inventory",
-                    where=f"worker {host}:{port}",
-                )
+                    report.update({k: hello.payload.get(k) for k in hello_keys})
+                info = call_once(rfile, wfile, 1, method, where=where)
                 if info.kind == "error":
                     report["error"] = f"[{info.code}] {info.error}"
                 elif isinstance(info.payload, dict):
@@ -2576,40 +2566,22 @@ def query_fleet(
             report["error"] = str(exc)
         reports.append(report)
     return reports
+
+
+def query_fleet(
+    addresses: "list[tuple[str, int]]", timeout: float = 10.0
+) -> list[dict]:
+    """Each worker daemon's placement payload plus resident-dataset
+    inventory (``repro fleet status``)."""
+    return _ask_fleet(addresses, "inventory", timeout, ("name", "pid"))
 
 
 def query_fleet_metrics(
     addresses: "list[tuple[str, int]]", timeout: float = 10.0
 ) -> list[dict]:
-    """Dial each worker daemon for its ``metricsSnapshot`` payload
-    (``repro fleet top``); unreachable daemons degrade to an
-    ``{"error": ...}`` entry, like :func:`query_fleet`."""
-    reports: list[dict] = []
-    for host, port in addresses:
-        report: dict = {"address": format_address((host, port))}
-        try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.settimeout(timeout)
-            try:
-                wfile = sock.makefile("wb")
-                rfile = sock.makefile("rb")
-                call_once(
-                    rfile, wfile, 0, "hello", where=f"worker {host}:{port}"
-                )
-                info = call_once(
-                    rfile, wfile, 1, "metricsSnapshot",
-                    where=f"worker {host}:{port}",
-                )
-                if info.kind == "error":
-                    report["error"] = f"[{info.code}] {info.error}"
-                elif isinstance(info.payload, dict):
-                    report.update(info.payload)
-            finally:
-                sock.close()
-        except (FrameError, EngineError, OSError, ValueError) as exc:
-            report["error"] = str(exc)
-        reports.append(report)
-    return reports
+    """Each worker daemon's ``metricsSnapshot`` payload
+    (``repro fleet top``)."""
+    return _ask_fleet(addresses, "metricsSnapshot", timeout)
 
 
 # ---------------------------------------------------------------------------

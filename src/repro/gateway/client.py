@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 from collections import deque
 from typing import Iterator
 
+from repro.core.framing import dial
 from repro.errors import HillviewError
 from repro.gateway import websocket as ws
 from repro.gateway.protocol import PROTOCOL_VERSION
@@ -173,26 +173,6 @@ class GatewayClient:
         self.close()
 
 
-class _RecvBuffer:
-    """A socket wrapper draining bytes that arrived with the 101 response.
-
-    The server sends its hello frame immediately after the upgrade, so it
-    often lands in the same TCP segment; the upgrade parser hands the
-    surplus here instead of dropping it.
-    """
-
-    def __init__(self, sock: socket.socket, initial: bytes = b""):
-        self._sock = sock
-        self._buffer = bytearray(initial)
-
-    def recv(self, n: int) -> bytes:
-        if self._buffer:
-            chunk = bytes(self._buffer[:n])
-            del self._buffer[:n]
-            return chunk
-        return self._sock.recv(n)
-
-
 class GatewayWebSocket:
     """Blocking WebSocket client with the versioned gateway handshake.
 
@@ -214,8 +194,8 @@ class GatewayWebSocket:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = _RecvBuffer(self._sock, self._upgrade(headers or {}))
+        self._sock, self._rfile, self._wfile = dial((host, port), timeout, timeout)
+        self._upgrade(headers or {})
         #: Messages already read but not yet claimed, per requestId; the
         #: ``None`` key collects everything without a requestId
         #: (hello/welcome/heartbeats/pongs/errors).
@@ -225,7 +205,7 @@ class GatewayWebSocket:
         self.session: str | None = None
         self.last_seq: dict[int, int] = {}
 
-    def _upgrade(self, headers: dict) -> bytes:
+    def _upgrade(self, headers: dict) -> None:
         key = ws.client_handshake_key()
         lines = [
             "GET /api/v1/ws HTTP/1.1",
@@ -237,30 +217,35 @@ class GatewayWebSocket:
         ]
         for name, value in headers.items():
             lines.append(f"{name}: {value}")
-        self._sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        response = b""
-        while b"\r\n\r\n" not in response:
-            chunk = self._sock.recv(4096)
-            if not chunk:
+        self._send(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+        # The server's hello frame may arrive in the same segment as the
+        # 101 response; it stays in the read buffer for _next_message.
+        head = []
+        while True:
+            line = self._rfile.readline()
+            if not line.endswith(b"\n"):
                 raise ws.ConnectionClosed("server closed during the upgrade")
-            response += chunk
-        head_bytes, leftover = response.split(b"\r\n\r\n", 1)
-        head = head_bytes.decode("latin-1")
-        status_line = head.split("\r\n")[0]
+            if line == b"\r\n":
+                break
+            head.append(line.decode("latin-1").rstrip("\r\n"))
+        status_line = head[0] if head else ""
         if " 101 " not in f"{status_line} ":
             raise GatewayError(f"upgrade refused: {status_line}")
         accept = None
-        for line in head.split("\r\n")[1:]:
+        for line in head[1:]:
             name, _, value = line.partition(":")
             if name.strip().lower() == "sec-websocket-accept":
                 accept = value.strip()
         if accept != ws.accept_key(key):
             raise ws.WebSocketError("bad Sec-WebSocket-Accept from server")
-        return leftover
 
     # -- framing --------------------------------------------------------
+    def _send(self, data: bytes) -> None:
+        self._wfile.write(data)
+        self._wfile.flush()
+
     def _send_json(self, message: dict) -> None:
-        self._sock.sendall(
+        self._send(
             ws.encode_frame(
                 ws.OP_TEXT, json.dumps(message).encode("utf-8"), mask=True
             )
@@ -269,11 +254,9 @@ class GatewayWebSocket:
     def _next_message(self) -> dict:
         """The next data message, answering protocol pings transparently."""
         while True:
-            message = ws.read_message_blocking(self._reader)
+            message = ws.read_message_blocking(self._rfile)
             if message.opcode == ws.OP_PING:
-                self._sock.sendall(
-                    ws.encode_frame(ws.OP_PONG, message.data, mask=True)
-                )
+                self._send(ws.encode_frame(ws.OP_PONG, message.data, mask=True))
                 continue
             if message.opcode == ws.OP_PONG:
                 continue
@@ -384,13 +367,14 @@ class GatewayWebSocket:
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         try:
-            self._sock.sendall(ws.close_frame(mask=True))
+            self._send(ws.close_frame(mask=True))
         except OSError:
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        for stream in (self._rfile, self._wfile, self._sock):
+            try:
+                stream.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "GatewayWebSocket":
         return self

@@ -28,6 +28,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from typing import BinaryIO
 
 from repro.errors import HillviewError
 
@@ -201,31 +202,28 @@ async def read_message(
 # ---------------------------------------------------------------------------
 # Blocking reader (sync GatewayClient; mirrors read_frame_blocking)
 # ---------------------------------------------------------------------------
-def _recv_exactly(sock, length: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < length:
-        chunk = sock.recv(length - len(chunks))
-        if not chunk:
-            raise ConnectionClosed("peer closed the WebSocket connection")
-        chunks += chunk
-    return bytes(chunks)
+def _read_exactly(stream: BinaryIO, length: int) -> bytes:
+    data = stream.read(length)
+    if len(data) != length:
+        raise ConnectionClosed("peer closed the WebSocket connection")
+    return data
 
 
-def read_message_blocking(sock) -> Message:
-    """Blocking twin of :func:`read_message` over a plain socket."""
+def read_message_blocking(stream: BinaryIO) -> Message:
+    """Blocking twin of :func:`read_message` over a socket's read file."""
     buffer = bytearray()
     message_opcode: int | None = None
     while True:
-        head = _recv_exactly(sock, 2)
+        head = _read_exactly(stream, 2)
         fin, opcode, masked, length = _decode_head(head[0], head[1])
         if length == 126:
-            length = struct.unpack("!H", _recv_exactly(sock, 2))[0]
+            length = struct.unpack("!H", _read_exactly(stream, 2))[0]
         elif length == 127:
-            length = struct.unpack("!Q", _recv_exactly(sock, 8))[0]
+            length = struct.unpack("!Q", _read_exactly(stream, 8))[0]
         if length > MAX_MESSAGE_BYTES:
             raise WebSocketError(f"frame of {length} bytes exceeds the message cap")
-        key = _recv_exactly(sock, 4) if masked else b""
-        payload = _recv_exactly(sock, length) if length else b""
+        key = _read_exactly(stream, 4) if masked else b""
+        payload = _read_exactly(stream, length) if length else b""
         if masked:
             payload = _unmask(payload, key)
         if opcode in _CONTROL_OPS:

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import json
 import random
-import socket
 import threading
 from typing import Callable
 
-from repro.core.framing import FrameError
+from repro.core.framing import FrameError, dial
 from repro.engine.rpc import RpcReply, call_once
 from repro.obs.logs import log_event
 from repro.service.transport import ServiceClient
@@ -53,17 +52,9 @@ def admin_call(
     methods (``ping``, ``drain``, ``undrain``) before any session
     exists.
     """
-    sock = socket.create_connection(address, timeout=timeout)
+    sock, rfile, wfile = dial(address, timeout, timeout)
     try:
-        sock.settimeout(timeout)
-        return call_once(
-            sock.makefile("rb"),
-            sock.makefile("wb"),
-            1,
-            method,
-            args,
-            where=f"root {address}",
-        )
+        return call_once(rfile, wfile, 1, method, args, where=f"root {address}")
     finally:
         try:
             sock.close()

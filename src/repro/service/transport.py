@@ -33,7 +33,9 @@ from typing import BinaryIO, Callable, Iterator
 
 from repro.core.framing import (
     MAX_FRAME_BYTES,  # noqa: F401 — re-exported; part of the public API
+    dial,
     encode_frame,
+    write_frame,
 )
 from repro.core.framing import read_frame as _read_frame
 from repro.core.framing import read_frame_blocking as _read_frame_blocking
@@ -590,10 +592,7 @@ class ServiceClient:
         session: str | None = None,
         connect_timeout: float = 10.0,
     ):
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self._sock.settimeout(None)
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
+        self._sock, self._rfile, self._wfile = dial((host, port), connect_timeout)
         self._ids = itertools.count(1)
         self._pending: dict[int, PendingQuery] = {}
         self._lock = threading.Lock()
@@ -639,8 +638,7 @@ class ServiceClient:
             if self._closed:
                 raise ServiceError("client is closed")
             self._pending[request.request_id] = pending
-            self._wfile.write(encode_frame(request.to_json().encode("utf-8")))
-            self._wfile.flush()
+            write_frame(self._wfile, request.to_json().encode("utf-8"))
         return pending
 
     def call(

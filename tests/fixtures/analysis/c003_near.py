@@ -3,6 +3,13 @@
 
 import asyncio
 
+from repro.core.framing import dial
+
 
 async def throttle(seconds):
     await asyncio.sleep(seconds)
+
+
+def probe(address):
+    # A blocking dial is fine outside an async body.
+    dial(address, 1.0)

@@ -49,26 +49,28 @@ FIRE_RULES = [
 ]
 
 
-def _expected_line(path: Path) -> int:
-    """The 1-based line carrying the fire marker (or, for the SUP001
+def _expected_lines(path: Path) -> list[int]:
+    """The 1-based lines carrying a fire marker (or, for the SUP001
     fixture, the malformed waiver itself)."""
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
-        if "analyzer: fires here" in line or "repro: ignore[" in line:
-            return i
-    raise AssertionError(f"no fire marker in {path}")
+    lines = [
+        i
+        for i, line in enumerate(path.read_text().splitlines(), start=1)
+        if "analyzer: fires here" in line or "repro: ignore[" in line
+    ]
+    assert lines, f"no fire marker in {path}"
+    return lines
 
 
 @pytest.mark.parametrize("rule_id", FIRE_RULES)
 def test_fire_fixture_produces_exactly_its_finding(rule_id: str) -> None:
     path = FIXTURES / f"{rule_id.lower()}_fire.py"
     report = analyze_paths([str(path)])
-    assert len(report.findings) == 1, [
+    assert [f.line for f in report.findings] == _expected_lines(path), [
         (f.rule_id, f.line, f.message) for f in report.findings
     ]
-    finding = report.findings[0]
-    assert finding.rule_id == rule_id
-    assert finding.path.endswith(f"{rule_id.lower()}_fire.py")
-    assert finding.line == _expected_line(path)
+    for finding in report.findings:
+        assert finding.rule_id == rule_id
+        assert finding.path.endswith(f"{rule_id.lower()}_fire.py")
 
 
 @pytest.mark.parametrize("rule_id", FIRE_RULES)

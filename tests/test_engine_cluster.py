@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from tests.conftest import requires_caches
 from repro.engine.cluster import Cluster
 from repro.engine.dataset import DeriveMap, FilterMap
 from repro.engine.faults import FaultInjector
+from repro.engine.placement import StalePlacementError
 from repro.engine.progress import CancellationToken
 from repro.engine.redo_log import RedoLog
 from repro.errors import DatasetMissingError, EngineError
@@ -60,6 +63,32 @@ class TestExecution:
         assert first.value.total_in_range > 0
         # The run ends early (queued micropartitions skipped).
         assert len(rest) <= 12
+
+
+class TestPlacementMovesMidCall:
+    """A resync on another thread can swap the root's worker list while a
+    whole-fleet call is in flight (a daemon fleet resized under live
+    load).  The call must report a stale placement, so the caller's retry
+    loop re-runs it: never index past the new list, never return results
+    that mix two fleets."""
+
+    def test_resync_during_the_call_is_a_stale_placement(self, cluster):
+        every_worker_read = threading.Barrier(len(cluster.workers))
+
+        def shard_count(index, worker):
+            every_worker_read.wait(timeout=10)
+            if index == 0:  # the "resync": a smaller fleet, a new version
+                cluster.workers = cluster.workers[:1]
+                cluster.placement_version += 1
+            return index
+
+        with pytest.raises(StalePlacementError):
+            cluster._for_all_workers(shard_count)
+
+    def test_slot_past_a_shrunk_fleet_is_a_stale_placement(self, cluster):
+        cluster.workers = cluster.workers[:1]
+        with pytest.raises(StalePlacementError, match="shrank to 1"):
+            cluster._with_revival(2, lambda index, worker: index)
 
 
 class TestComputationCache:

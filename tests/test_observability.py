@@ -442,6 +442,7 @@ class TestServiceTracing:
             "totalSeconds",
             "ensureSeconds",
             "fanoutSeconds",
+            "wireTailSeconds",
             "mergeSeconds",
             "workers",
         ):

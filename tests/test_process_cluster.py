@@ -213,3 +213,49 @@ class TestListenMode:
                     proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     proc.kill()
+
+
+class TestWireTail:
+    def test_terminal_frame_follows_the_last_partial_without_a_nagle_stall(self):
+        """A daemon writes its last ``partial`` and its ``complete`` back
+        to back.  Without ``TCP_NODELAY`` the second small write waits for
+        the root's delayed ACK (~40 ms on Linux); the profile books that
+        gap as ``wireTailSeconds``."""
+        import statistics
+
+        from repro.service.transport import ServiceClient, ServiceServer
+
+        cluster = ProcessCluster(num_workers=2, cores_per_worker=1)
+        server = ServiceServer(
+            cluster, default_source=FlightsSource(100_000, partitions=8, seed=13)
+        )
+        try:
+            server.start_background()
+            with ServiceClient(*server.address) as client:
+                handle = client.load()
+                tails = []
+                for i in range(5):
+                    # Unique bounds per query: no cache tier may answer.
+                    spec = {
+                        "type": "histogram",
+                        "column": "Distance",
+                        "buckets": {
+                            "type": "double",
+                            "min": 0,
+                            "max": 3000 + 7 * i,
+                            "count": 10,
+                        },
+                    }
+                    replies = list(
+                        client.submit(
+                            "sketch", handle, {"sketch": spec, "profile": True}
+                        ).replies()
+                    )
+                    assert replies[-1].kind == "complete"
+                    profile = replies[-1].profile
+                    assert not any(w.get("cacheHit") for w in profile["workers"])
+                    tails.append(profile["wireTailSeconds"])
+        finally:
+            server.close()
+            cluster.close()
+        assert statistics.median(tails) < 0.020, tails

@@ -9,16 +9,25 @@ long, truncated, or with trailing bytes) with a ``ProtocolError``: a
 short list must not surface as a bare ``KeyError``, and a long one must
 not silently drop payloads (for a claim the victim has already
 cancelled the ceded shards).
+
+Every blocking endpoint of that wire (and of the client wires) opens its
+socket through ``core/framing.py``, which sets ``TCP_NODELAY``: a stream's
+last ``partial`` and its ``complete`` are two small writes back to back,
+and Nagle's algorithm would hold the second for the peer's delayed ACK.
 """
 
 from __future__ import annotations
 
+import ast
 import queue
+import socket
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.core.buckets import DoubleBuckets
+from repro.core.framing import dial, stream_files
 from repro.core.serialization import Encoder
 from repro.data.flights import FlightsSource
 from repro.engine.cluster import StolenParcel
@@ -171,3 +180,39 @@ def test_partial_without_attachment_is_a_protocol_error():
     partials = _proxy(reply).sketch_partials("ds", SKETCH, [])
     with pytest.raises(ProtocolError, match="without its summary attachment"):
         next(partials)
+
+
+def _nodelay(sock: socket.socket) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def test_dial_and_accepted_streams_set_tcp_nodelay():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        sock, rfile, wfile = dial(listener.getsockname()[:2], 5.0)
+        accepted, _ = listener.accept()
+        try:
+            assert _nodelay(sock)
+            assert not _nodelay(accepted)
+            accepted_rfile, _ = stream_files(accepted)
+            assert _nodelay(accepted)
+            wfile.write(b"ping")
+            wfile.flush()
+            assert accepted_rfile.read(4) == b"ping"
+        finally:
+            sock.close()
+            accepted.close()
+
+
+def test_only_the_framing_helper_opens_client_sockets():
+    """A new endpoint must go through ``dial`` (and so get TCP_NODELAY)
+    rather than call ``socket.create_connection`` itself."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    callers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (isinstance(node, ast.Attribute) and node.attr) or (
+                isinstance(node, ast.alias) and node.name
+            )
+            if named == "create_connection":
+                callers.add(path.relative_to(src).as_posix())
+    assert callers == {"core/framing.py"}
